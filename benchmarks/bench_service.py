@@ -15,7 +15,8 @@ guarantees for every one:
 Per-scenario throughput, latency percentiles, shed rate, and
 stale-serve rate land in ``BENCH_service.json`` at the repository root
 (canonical JSON), the service-layer companion to
-``BENCH_resilience.json``.
+``BENCH_resilience.json``.  They are *priced*, not measured: every
+latency is charged by the service cost model on the virtual clock.
 
 ``REPRO_SERVICE_BENCH_COUNT`` caps the request count for CI smoke
 runs; the full 400-request workload is the default.
@@ -92,8 +93,8 @@ def serve_scenario(seed: int, spec: ServiceChaosSpec):
     return service, responses
 
 
-def measure(seed: int, spec: ServiceChaosSpec) -> dict:
-    """Throughput and latency rollup of one representative run."""
+def price(seed: int, spec: ServiceChaosSpec) -> dict:
+    """Priced throughput and latency rollup of one representative run."""
     service, responses = serve_scenario(seed, spec)
     summary = service.log.summary()
     span_s = max(r.settled_s for r in responses) - min(
@@ -120,7 +121,7 @@ def run_service_study():
     return {
         name: {
             "campaign": run_service_campaign(SEEDS, spec),
-            "measured": measure(SEEDS[0], spec),
+            "priced": price(SEEDS[0], spec),
         }
         for name, spec in SCENARIOS.items()
     }
@@ -133,13 +134,13 @@ def test_service_resilience_invariants_hold(benchmark):
     for name, entry in study.items():
         lines.append(f"=== {name} ===")
         lines.append(format_service_chaos(entry["campaign"]))
-        measured = entry["measured"]
+        priced = entry["priced"]
         lines.append(
-            f"  measured (seed {measured['seed']}): "
-            f"{measured['achieved_req_per_s']:.0f} req/s  "
-            f"p99 {1000 * measured['p99_latency_s']:.3f}ms  "
-            f"shed {100 * measured['shed_rate']:.1f}%  "
-            f"stale {100 * measured['stale_rate']:.1f}%"
+            f"  priced (seed {priced['seed']}): "
+            f"{priced['achieved_req_per_s']:.0f} req/s  "
+            f"p99 {1000 * priced['p99_latency_s']:.3f}ms  "
+            f"shed {100 * priced['shed_rate']:.1f}%  "
+            f"stale {100 * priced['stale_rate']:.1f}%"
         )
         lines.append("")
     text = "\n".join(lines)
@@ -156,7 +157,7 @@ def test_service_resilience_invariants_hold(benchmark):
             "scenarios": {
                 name: {
                     "campaign": entry["campaign"].to_dict(),
-                    "measured": entry["measured"],
+                    "priced": entry["priced"],
                 }
                 for name, entry in study.items()
             },

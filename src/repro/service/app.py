@@ -57,6 +57,7 @@ from repro.service.resilience import (
     TokenBucket,
 )
 from repro.simgrid.errors import ConfigurationError
+from repro.simgrid.hardware import ClusterSpec
 from repro.workloads.clusters import (
     DEFAULT_BANDWIDTH,
     opteron_infiniband_cluster,
@@ -80,10 +81,22 @@ ENDPOINTS = ("predict", "what-if", "broker-submit", "campaign-status")
 
 _LOG_FORMAT_VERSION = 1
 
+#: The clusters a request may name; specs are frozen, so one instance
+#: each serves every request.
 _SERVICE_CLUSTERS = {
-    "pentium-myrinet": pentium_myrinet_cluster,
-    "opteron-infiniband": opteron_infiniband_cluster,
+    "pentium-myrinet": pentium_myrinet_cluster(),
+    "opteron-infiniband": opteron_infiniband_cluster(),
 }
+
+
+def _resolve_cluster(params: Mapping[str, Any]) -> ClusterSpec:
+    name = str(params.get("cluster", "pentium-myrinet"))
+    cluster = _SERVICE_CLUSTERS.get(name)
+    if cluster is None:
+        raise ConfigurationError(
+            f"unknown cluster '{name}'; known: {sorted(_SERVICE_CLUSTERS)}"
+        )
+    return cluster
 
 
 @dataclass(frozen=True)
@@ -139,7 +152,7 @@ class ServiceResponse:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestRecord:
     """The log's view of one settled request."""
 
@@ -550,13 +563,7 @@ class PredictionService:
             raise ConfigurationError(
                 f"predict needs integer data_nodes and compute_nodes: {exc}"
             ) from exc
-        cluster_name = str(params.get("cluster", "pentium-myrinet"))
-        make_cluster = _SERVICE_CLUSTERS.get(cluster_name)
-        if make_cluster is None:
-            raise ConfigurationError(
-                f"unknown cluster '{cluster_name}'; known: "
-                f"{sorted(_SERVICE_CLUSTERS)}"
-            )
+        cluster = _resolve_cluster(params)
         bandwidth = float(params.get("bandwidth", DEFAULT_BANDWIDTH))
         dataset_bytes = float(
             params.get("dataset_bytes", profile.dataset_bytes)
@@ -564,7 +571,7 @@ class PredictionService:
         config = make_run_config(
             data_nodes,
             compute_nodes,
-            storage_cluster=make_cluster(),
+            storage_cluster=cluster,
             bandwidth=bandwidth,
         ).with_processes_per_node(int(params.get("processes_per_node", 1)))
         return PredictionTarget(config=config, dataset_bytes=dataset_bytes)
@@ -626,18 +633,13 @@ class PredictionService:
                     "[data_nodes, compute_nodes]"
                 )
             pairs = [(int(n), int(c)) for n, c in pairs_raw]
+            storage_cluster = _resolve_cluster(request.params)
         except (ConfigurationError, TypeError, ValueError) as exc:
             return self._reject(request, arrival, str(exc))
         model = self._model_for(profile.app)
-        cluster_name = str(request.params.get("cluster", "pentium-myrinet"))
-        make_cluster = _SERVICE_CLUSTERS.get(cluster_name)
-        if make_cluster is None:
-            return self._reject(
-                request, arrival, f"unknown cluster '{cluster_name}'"
-            )
         bandwidth = float(request.params.get("bandwidth", DEFAULT_BANDWIDTH))
         template = make_run_config(
-            1, 1, storage_cluster=make_cluster(), bandwidth=bandwidth
+            1, 1, storage_cluster=storage_cluster, bandwidth=bandwidth
         )
         target = PredictionTarget(
             config=template, dataset_bytes=profile.dataset_bytes

@@ -18,6 +18,7 @@ Three pieces live here:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -109,7 +110,7 @@ def maxmin_fair_share(
 
 
 def fit_linear_cost(
-    sizes: Sequence[float], times: Sequence[float]
+    sizes: Sequence[float] | np.ndarray, times: Sequence[float] | np.ndarray
 ) -> tuple[float, float]:
     """Least-squares fit ``time = w * size + l``; returns ``(w, l)``.
 
@@ -127,6 +128,18 @@ def fit_linear_cost(
     design = np.stack([x, np.ones_like(x)], axis=1)
     (w, l), *_ = np.linalg.lstsq(design, y, rcond=None)
     return float(w), float(l)
+
+
+@functools.lru_cache(maxsize=256)
+def _fit_exact(size_bits: bytes, time_bits: bytes) -> tuple[float, float]:
+    """:func:`fit_linear_cost` keyed on the float64 bytes of its inputs.
+
+    The bytes are exactly the arrays ``lstsq`` sees, so a hit returns
+    the bit pattern a fresh fit would.  An entry is one cluster's
+    calibration (two 32-byte keys); the bound only matters for callers
+    that sweep cluster parameters.
+    """
+    return fit_linear_cost(np.frombuffer(size_bits), np.frombuffer(time_bits))
 
 
 @dataclass(frozen=True)
@@ -187,8 +200,13 @@ class CommCostModel:
 
         The microbenchmark measures single reduction-object messages on the
         intra-cluster interconnect, mirroring how a FREERIDE-G deployment
-        would calibrate ``w`` and ``l`` once per cluster.
+        would calibrate ``w`` and ``l`` once per cluster: the probes run
+        on every call, but the least-squares fit runs once per distinct
+        set of measurements.
         """
         times = [cluster.gather_message_time(size) for size in probe_sizes]
-        w, l = fit_linear_cost(probe_sizes, times)
+        w, l = _fit_exact(
+            np.asarray(probe_sizes, dtype=float).tobytes(),
+            np.asarray(times, dtype=float).tobytes(),
+        )
         return cls(w=max(w, 0.0), l=max(l, 0.0))

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.core.durable import content_digest
 from repro.errors import InternalError
 from repro.service import (
     BackendFaultSpec,
@@ -13,6 +16,7 @@ from repro.service import (
     ServiceBackend,
     ServiceFaultInjector,
     ServiceRequest,
+    generate_requests,
     serve_sequence,
 )
 from repro.service.resilience import BreakerState
@@ -85,6 +89,25 @@ class TestHappyPath:
         missing = service.handle(predict_request("r2", 0.0, profile="ghost"))
         assert missing.status == 400
         assert missing.outcome == "rejected"
+
+    def test_unknown_cluster_names_the_known_ones(self, service):
+        predict = service.handle(
+            predict_request("r1", 0.0, params={"cluster": "x"})
+        )
+        whatif = service.handle(
+            ServiceRequest(
+                "r2",
+                "what-if",
+                {"profile": "kmeans", "pairs": [[1, 2]], "cluster": "x"},
+                arrival_s=0.0,
+            )
+        )
+        for response in (predict, whatif):
+            assert response.status == 400
+            assert response.body["error"] == (
+                "unknown cluster 'x'; known: "
+                "['opteron-infiniband', 'pentium-myrinet']"
+            )
 
     def test_broker_submit_without_broker_is_501(self, service):
         response = service.handle(
@@ -270,6 +293,28 @@ class TestExactlyOnce:
         log.settle(record)
         with pytest.raises(InternalError):
             log.settle(record)
+
+
+class TestReplayGolden:
+    #: Digest of the request log plus every response body of the stream
+    #: below, pinned before fingerprints and (w, l) fits were memoized
+    #: and the service clusters were built once.
+    GOLDEN = "71e53a8157fd3c3b1aee9da9d6212e05ae0d284454e4da36f62eadbfc68201c0"
+
+    def test_seeded_stream_is_byte_identical(self, profiles):
+        requests = []
+        for index, request in enumerate(
+            generate_requests(7, 2000, 520.0, sorted(profiles))
+        ):
+            if request.endpoint in ("predict", "what-if") and index % 2:
+                request = dataclasses.replace(
+                    request,
+                    params=dict(request.params, cluster="opteron-infiniband"),
+                )
+            requests.append(request)
+        service = PredictionService(profiles)
+        bodies = [service.handle(request).to_dict() for request in requests]
+        assert content_digest([service.log.to_dict(), bodies]) == self.GOLDEN
 
 
 class TestServeSequence:

@@ -1,9 +1,12 @@
 """Tests for links, fair sharing and the fitted communication cost model."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.simgrid.errors import ConfigurationError
+from repro.simgrid.hardware import ClusterSpec
 from repro.simgrid.network import (
     CommCostModel,
     LinkModel,
@@ -11,7 +14,29 @@ from repro.simgrid.network import (
     maxmin_fair_share,
 )
 
+from repro.workloads.clusters import (
+    opteron_infiniband_cluster,
+    pentium_myrinet_cluster,
+)
+
 from tests.conftest import small_cluster_spec
+
+PROBE_SIZES = (1024.0, 8192.0, 65536.0, 524288.0)
+
+
+@dataclasses.dataclass(frozen=True)
+class DoubledLatencyCluster(ClusterSpec):
+    """A cluster whose gather microbenchmark reports twice the latency."""
+
+    def gather_message_time(self, nbytes: float) -> float:
+        return 2.0 * self.intra_latency_s + nbytes / self.intra_bw
+
+
+def fresh_fit(cluster):
+    """The ``(w, l)`` an unmemoized fit gives for ``cluster``."""
+    times = [cluster.gather_message_time(size) for size in PROBE_SIZES]
+    w, l = fit_linear_cost(list(PROBE_SIZES), times)
+    return max(w, 0.0), max(l, 0.0)
 
 
 class TestLinkModel:
@@ -99,6 +124,26 @@ class TestCommCostModel:
         model = CommCostModel.fit_for_cluster(cluster)
         assert model.w == pytest.approx(1.0 / cluster.intra_bw, rel=1e-6)
         assert model.l == pytest.approx(cluster.intra_latency_s, rel=1e-6)
+
+    def test_memoized_fit_is_bitwise_a_fresh_fit(self):
+        pentium = pentium_myrinet_cluster()
+        clusters = [
+            pentium,
+            opteron_infiniband_cluster(),
+            dataclasses.replace(pentium, intra_bw=pentium.intra_bw / 3.0),
+            DoubledLatencyCluster(**{
+                f.name: getattr(pentium, f.name)
+                for f in dataclasses.fields(pentium)
+            }),
+        ]
+        fits = []
+        for cluster in clusters:
+            expected = [x.hex() for x in fresh_fit(cluster)]
+            for _ in range(2):  # the second call is answered by the memo
+                model = CommCostModel.fit_for_cluster(cluster)
+                assert [model.w.hex(), model.l.hex()] == expected
+            fits.append((model.w, model.l))
+        assert len(set(fits)) == len(clusters)
 
     def test_message_time(self):
         model = CommCostModel(w=1e-7, l=1e-4)
