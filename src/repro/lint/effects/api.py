@@ -6,30 +6,32 @@ the same ``root``, and returns plain :class:`Finding` objects the CLI
 concatenates with the other layers' and hands to the same baseline
 partition and reporters.
 
-Per file: hash the source, hit the effect cache or parse + extract,
-then build the call graph over all summaries (the flow layer's builder,
-unchanged — effect summaries carry identically-shaped ``calls`` and
-``arg_flows``), propagate, and generate findings.  When a committed
-determinism certificate is present, tier regressions against it are
-reported as REP205 findings anchored on the demoted function's
-definition line.
+Per file: hash the source, hit the effect cache or parse + extract
+(:func:`repro.lint.cache.cached_extracts`), then build the call graph
+over all summaries (the flow layer's builder, unchanged — effect
+summaries carry identically-shaped ``calls`` and ``arg_flows``),
+propagate, and generate findings.  When a committed determinism
+certificate is present, tier regressions against it are reported as
+REP205 findings anchored on the demoted function's definition line.
 """
 
 from __future__ import annotations
 
-import ast
 import dataclasses
 import pathlib
 from typing import Dict, List, Optional, Sequence
 
-from repro.lint.engine import iter_python_files, relative_finding_path
+from repro.lint.cache import SummaryCache, cached_extracts
 from repro.lint.findings import Finding
-from repro.lint.effects.cache import EffectCache, source_digest
 from repro.lint.effects.certificate import (
     certificate_demotions,
     load_certificate,
 )
-from repro.lint.effects.extract import EffectExtract, extract_effects
+from repro.lint.effects.extract import (
+    ANALYSIS_VERSION,
+    EffectExtract,
+    extract_effects,
+)
 from repro.lint.effects.propagate import (
     EffectAnalysis,
     effect_findings,
@@ -67,33 +69,10 @@ def analyze_effects(
     certificate_path: Optional[str | pathlib.Path] = None,
 ) -> EffectResult:
     """Run the whole-program effect analysis over files and directories."""
-    rootpath = (
-        pathlib.Path(root) if root is not None else pathlib.Path.cwd()
+    cache = SummaryCache(EffectExtract, "effect", ANALYSIS_VERSION, cache_path)
+    extracts, sources, module_digests, _ = cached_extracts(
+        paths, root, cache, extract_effects
     )
-    cache = EffectCache.load(
-        pathlib.Path(cache_path) if cache_path is not None else None
-    )
-
-    extracts: List[EffectExtract] = []
-    sources: Dict[str, Sequence[str]] = {}
-    module_digests: Dict[str, str] = {}
-    for path in iter_python_files([pathlib.Path(p) for p in paths]):
-        relpath = relative_finding_path(path, rootpath)
-        source = path.read_text(encoding="utf-8")
-        sources[relpath] = source.splitlines()
-        digest = source_digest(source)
-        cached = cache.get(relpath, digest)
-        if cached is not None:
-            extracts.append(cached)
-        else:
-            try:
-                tree = ast.parse(source, filename=str(path))
-            except SyntaxError:
-                continue  # REP000 is the engine's report, not ours
-            extract = extract_effects(tree, relpath)
-            extracts.append(extract)
-            cache.put(relpath, digest, extract)
-        module_digests[relpath] = digest
 
     graph = build_callgraph(extracts)
     analysis = propagate_effects(extracts, graph)
@@ -107,7 +86,6 @@ def analyze_effects(
             )
     findings.sort(key=Finding.sort_key)
 
-    cache.save()
     return EffectResult(
         findings=findings,
         analysis=analysis,

@@ -35,6 +35,7 @@ from repro.core.durable import (
 from repro.lint.effects.propagate import EffectAnalysis
 from repro.lint.effects.ruledefs import TIER_EFFECTFUL, TIER_RANK
 from repro.lint.errors import LintError
+from repro.lint.flow.symbols import module_name_for
 
 __all__ = [
     "CERTIFICATE_NAME",
@@ -110,27 +111,29 @@ def certificate_demotions(
 
     A function counts as demoted when its current tier ranks below the
     committed one — including functions that disappeared entirely while
-    other functions of their module survive (deletions of a whole
-    module drop its claims legitimately; the digest map records which
-    modules the certificate knew).
+    other functions of their module survive.  Deleting a whole module
+    drops its claims legitimately, even when its package survives: a
+    vanished function belongs to the longest module prefix of its
+    qualname that is analyzed now or recorded in the certificate's
+    digest map, and only an analyzed one makes it a demotion.
     """
     functions = certificate.get("functions")
     if not isinstance(functions, dict):
         return []
-    analyzed_modules = {
-        qualname: extract.module
-        for extract in analysis.extracts
-        for qualname in extract.functions
+    known_modules = {extract.module for extract in analysis.extracts}
+    digests = certificate.get("modules")
+    modules = known_modules | {
+        module_name_for(relpath)
+        for relpath in (digests if isinstance(digests, dict) else {})
     }
-    known_modules = set(analyzed_modules.values())
     demotions: List[Tuple[str, str, str]] = []
     for qualname, certified in sorted(functions.items()):
         current = analysis.tiers.get(qualname)
         if current is None:
             module = qualname.rsplit(".", 1)[0]
-            while module and module not in known_modules:
+            while module and module not in modules:
                 module = module.rsplit(".", 1)[0] if "." in module else ""
-            if not module:
+            if module not in known_modules:
                 continue  # whole module gone or outside the analyzed set
             current = TIER_EFFECTFUL
         if TIER_RANK[current] < TIER_RANK[str(certified)]:

@@ -65,6 +65,10 @@ __all__ = [
     "ATOM_UNORDERED",
 ]
 
+#: Extractor revision stamped into the summary cache (``repro.lint.cache``);
+#: bump it whenever this module changes what a summary contains or means.
+ANALYSIS_VERSION = 1
+
 #: Value marks carried in atom sets beside ``param:``/``call:`` atoms.
 ATOM_SETLIKE = "setlike"  # the value is a set/frozenset
 ATOM_UNORDERED = "unordered"  # derived from iterating an unordered value

@@ -6,31 +6,30 @@ paths on the same ``root``, and returns plain :class:`Finding` objects,
 so the CLI can concatenate both result lists and hand them to the same
 baseline partition and reporters.
 
-Per file: hash the source, hit the summary cache or parse + extract,
-then build the call graph over *all* summaries and run propagation.
-Files that do not parse are skipped here — the intraprocedural engine
-already reports them as REP000, and a broken module contributes no
-summaries rather than aborting the whole-program pass.
+Per file: hash the source, hit the summary cache or parse + extract
+(:func:`repro.lint.cache.cached_extracts`), then build the call graph
+over *all* summaries and run propagation.  REP104's unit check reuses
+the same parse of each prediction-core module.
 """
 
 from __future__ import annotations
 
-import ast
 import dataclasses
 import pathlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.lint.engine import iter_python_files, relative_finding_path
+from repro.lint.cache import SummaryCache, cached_extracts
 from repro.lint.findings import Finding
-from repro.lint.flow.cache import SummaryCache, source_digest
 from repro.lint.flow.callgraph import CallGraph, build_callgraph
-from repro.lint.flow.extract import ModuleExtract, extract_module
+from repro.lint.flow.extract import (
+    ANALYSIS_VERSION,
+    ModuleExtract,
+    extract_module,
+)
 from repro.lint.flow.propagate import FlowAnalysis, flow_findings, propagate
 from repro.lint.flow.units import applies_to_units, check_units
 
 __all__ = ["FlowResult", "analyze_paths"]
-
-DEFAULT_CACHE_NAME = ".repro-flow-cache.json"
 
 
 @dataclasses.dataclass
@@ -55,48 +54,17 @@ def analyze_paths(
     cache_path: Optional[str | pathlib.Path] = None,
 ) -> FlowResult:
     """Run the whole-program analysis over files and directories."""
-    rootpath = (
-        pathlib.Path(root) if root is not None else pathlib.Path.cwd()
+    cache = SummaryCache(ModuleExtract, "flow", ANALYSIS_VERSION, cache_path)
+    extracts, sources, _, trees = cached_extracts(
+        paths, root, cache, extract_module, keep_tree=applies_to_units
     )
-    cache = SummaryCache.load(
-        pathlib.Path(cache_path) if cache_path is not None else None
-    )
-
-    extracts: List[ModuleExtract] = []
-    sources: Dict[str, Sequence[str]] = {}
-    unit_modules: List[Tuple[str, ast.Module]] = []
-    for path in iter_python_files([pathlib.Path(p) for p in paths]):
-        relpath = relative_finding_path(path, rootpath)
-        source = path.read_text(encoding="utf-8")
-        sources[relpath] = source.splitlines()
-        digest = source_digest(source)
-        cached = cache.get(relpath, digest)
-        tree: Optional[ast.Module] = None
-        if cached is not None:
-            extracts.append(cached)
-        else:
-            try:
-                tree = ast.parse(source, filename=str(path))
-            except SyntaxError:
-                continue  # REP000 is the engine's report, not ours
-            extract = extract_module(tree, relpath)
-            extracts.append(extract)
-            cache.put(relpath, digest, extract)
-        if applies_to_units(relpath):
-            if tree is None:
-                try:
-                    tree = ast.parse(source, filename=str(path))
-                except SyntaxError:
-                    continue
-            unit_modules.append((relpath, tree))
 
     graph = build_callgraph(extracts)
     analysis = propagate(extracts, graph)
     findings = flow_findings(analysis, sources)
-    findings.extend(check_units(unit_modules, sources))
+    findings.extend(check_units(list(trees.items()), sources))
     findings.sort(key=Finding.sort_key)
 
-    cache.save()
     return FlowResult(
         findings=findings,
         analysis=analysis,

@@ -50,6 +50,10 @@ from repro.lint.rules.rep005_repro_errors import BUILTIN_EXCEPTIONS
 
 __all__ = ["FunctionSummary", "ModuleExtract", "extract_module"]
 
+#: Extractor revision stamped into the summary cache (``repro.lint.cache``);
+#: bump it whenever this module changes what a summary contains or means.
+ANALYSIS_VERSION = 1
+
 MODULE_BODY = "<module>"
 
 #: Surface attribute names whose call marks the function as doing I/O.

@@ -4,7 +4,7 @@ Fourth lint layer.  REP00x checks one AST node, the flow layer follows
 values, the effect layer follows effects; this layer follows *cost*:
 per-function summaries of loop structure, allocation sites, linear
 scans, and loop-invariant calls, closed over the SCC-condensed call
-graph from the declared hot set (``repro.core.hotpath``), and
+graph from the declared hot set (``repro.hotpath``), and
 cross-validated against a measured call profile (``repro profile``).
 """
 

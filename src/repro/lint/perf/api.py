@@ -5,27 +5,26 @@ way, anchor finding paths on the same ``root``, and return plain
 :class:`Finding` objects the CLI concatenates with the other layers'
 and hands to the same baseline partition and reporters.
 
-Per file: hash the source, hit the perf cache or parse + extract, then
-build the call graph over all summaries (the flow layer's builder,
-unchanged — perf summaries carry identically-shaped ``calls`` and
-``arg_flows``), close the declared hot set over it, and generate
-REP301-REP304.  When a committed call profile is present, REP305 fires
-for every measured-hot function outside the static hot region.
+Per file: hash the source, hit the perf cache or parse + extract
+(:func:`repro.lint.cache.cached_extracts`), then build the call graph
+over all summaries (the flow layer's builder, unchanged — perf
+summaries carry identically-shaped ``calls`` and ``arg_flows``), close
+the declared hot set over it, and generate REP301-REP304.  When a
+committed call profile is present, REP305 fires for every measured-hot
+function outside the static hot region.
 """
 
 from __future__ import annotations
 
-import ast
 import dataclasses
 import pathlib
 from typing import Dict, List, Optional, Sequence
 
+from repro.lint.cache import SummaryCache, cached_extracts
 from repro.lint.effects.certificate import load_certificate
-from repro.lint.engine import iter_python_files, relative_finding_path
 from repro.lint.findings import Finding
 from repro.lint.flow.callgraph import CallGraph, build_callgraph
-from repro.lint.perf.cache import PerfCache, source_digest
-from repro.lint.perf.extract import PerfExtract, extract_perf
+from repro.lint.perf.extract import ANALYSIS_VERSION, PerfExtract, extract_perf
 from repro.lint.perf.hotset import (
     PerfAnalysis,
     build_analysis,
@@ -64,33 +63,10 @@ def analyze_perf(
     profile_path: Optional[str | pathlib.Path] = None,
 ) -> PerfResult:
     """Run the whole-program perf analysis over files and directories."""
-    rootpath = (
-        pathlib.Path(root) if root is not None else pathlib.Path.cwd()
+    cache = SummaryCache(PerfExtract, "perf", ANALYSIS_VERSION, cache_path)
+    extracts, sources, module_digests, _ = cached_extracts(
+        paths, root, cache, extract_perf
     )
-    cache = PerfCache.load(
-        pathlib.Path(cache_path) if cache_path is not None else None
-    )
-
-    extracts: List[PerfExtract] = []
-    sources: Dict[str, Sequence[str]] = {}
-    module_digests: Dict[str, str] = {}
-    for path in iter_python_files([pathlib.Path(p) for p in paths]):
-        relpath = relative_finding_path(path, rootpath)
-        source = path.read_text(encoding="utf-8")
-        sources[relpath] = source.splitlines()
-        digest = source_digest(source)
-        cached = cache.get(relpath, digest)
-        if cached is not None:
-            extracts.append(cached)
-        else:
-            try:
-                tree = ast.parse(source, filename=str(path))
-            except SyntaxError:
-                continue  # REP000 is the engine's report, not ours
-            extract = extract_perf(tree, relpath)
-            extracts.append(extract)
-            cache.put(relpath, digest, extract)
-        module_digests[relpath] = digest
 
     graph = build_callgraph(extracts)
     analysis = build_analysis(extracts, graph)
@@ -115,7 +91,6 @@ def analyze_perf(
             )
     findings.sort(key=Finding.sort_key)
 
-    cache.save()
     return PerfResult(
         findings=findings,
         analysis=analysis,

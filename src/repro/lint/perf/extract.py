@@ -47,6 +47,10 @@ from repro.lint.perf.ruledefs import (
 
 __all__ = ["PerfSummary", "ClassInfo", "PerfExtract", "extract_perf"]
 
+#: Extractor revision stamped into the summary cache (``repro.lint.cache``);
+#: bump it whenever this module changes what a summary contains or means.
+ANALYSIS_VERSION = 2
+
 #: Dataclass decorator spellings (canonical) that accept ``slots=True``.
 _DATACLASS_DECORATORS = frozenset({"dataclasses.dataclass"})
 

@@ -7,7 +7,7 @@ scans, and recomputes per iteration of its loops, and whether the
 project's claim about which code is hot agrees with a measured call
 profile.
 
-The hot set is declared with :func:`repro.core.hotpath.hot` and closed
+The hot set is declared with :func:`repro.hotpath.hot` and closed
 over the project call graph: every function reachable from a declared
 entry is in the *hot region*, and REP301-REP304 only fire inside it —
 cold code may allocate freely.  REP305 runs the contract in the other
@@ -141,10 +141,7 @@ PERF_CODES: FrozenSet[str] = frozenset(rule.code for rule in PERF_RULES)
 #: Canonical decorator qualnames that declare a function hot.  The
 #: extractor resolves decorator expressions through the module import
 #: table, so ``from repro.hotpath import hot as fast`` still registers.
-#: Both the implementation module and its ``repro.core`` alias count.
-HOT_DECORATORS: FrozenSet[str] = frozenset(
-    {"repro.hotpath.hot", "repro.core.hotpath.hot"}
-)
+HOT_DECORATORS: FrozenSet[str] = frozenset({"repro.hotpath.hot"})
 
 #: Constructors/transforms whose result is list-backed — a membership
 #: test against one of these is a linear scan (REP302).  ``dict``/``set``

@@ -4,7 +4,8 @@ Covers the analysis itself (effect extraction, bottom-up propagation,
 tier assignment), every rule's positive and negative fixture, the
 determinism certificate (round-trip, shrink-only refusal, demotion
 findings, corruption), the content-hash cache, and the ``--effects``
-CLI surface.
+CLI surface.  The cache contract shared by every layer is covered in
+``test_cache.py``.
 """
 
 from __future__ import annotations
@@ -270,6 +271,31 @@ class TestCertificate:
         demoted = analyze_source(tmp_path, DEMOTED)
         drops = certificate_demotions(cert, demoted.analysis)
         assert ("mod.f", TIER_PURE, TIER_EFFECTFUL) in drops
+
+    def test_deleted_module_drops_claims_but_deleted_function_demotes(
+        self, tmp_path
+    ):
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        (pkg / "__init__.py").write_text(CLEAN)
+        (pkg / "gone.py").write_text(CLEAN)
+        (pkg / "kept.py").write_text(CLEAN)
+        result = analyze_effects([pkg], root=tmp_path)
+        cert = build_certificate(result.analysis, result.module_digests)
+        assert "pkg.gone.f" in cert["functions"]
+
+        # The module goes while its package survives: not a demotion.
+        (pkg / "gone.py").unlink()
+        assert certificate_demotions(
+            cert, analyze_effects([pkg], root=tmp_path).analysis
+        ) == []
+
+        # A function goes while its module survives: a demotion.
+        (pkg / "kept.py").write_text("def g(x):\n    return x\n")
+        drops = certificate_demotions(
+            cert, analyze_effects([pkg], root=tmp_path).analysis
+        )
+        assert drops == [("pkg.kept.f", TIER_PURE, TIER_EFFECTFUL)]
 
     def test_corrupt_certificate_is_a_lint_error(self, tmp_path):
         cert_path = tmp_path / "cert.json"

@@ -14,7 +14,6 @@ import shutil
 import pytest
 
 from repro.lint import analyze_paths, lint_paths
-from repro.lint.flow.cache import SummaryCache
 
 FLOW_FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "flow"
 
@@ -208,17 +207,6 @@ def test_cache_hits_and_invalidation(tmp_path):
     assert edited.cache_misses == 1
     assert edited.cache_hits == cold.files_analyzed - 1
     assert codes_of(edited) == ["REP101"]
-
-
-def test_corrupt_cache_degrades_to_full_reextract(tmp_path):
-    tree = _copy_tree("rep101_bad", tmp_path)
-    cache = tmp_path / "cache.json"
-    cache.write_text("{ not json")
-    result = analyze_tree(tree, cache_path=cache)
-    assert result.cache_hits == 0
-    assert codes_of(result) == ["REP101"]
-    # ... and the save repaired the file for the next run.
-    assert SummaryCache.load(cache)._modules
 
 
 # ---------------------------------------------------------------------------
