@@ -76,7 +76,7 @@ class EMClustering(GeneralizedReduction):
         self._iteration = 0
         self._nk: np.ndarray | None = None
         self._loglik_history: list[float] = []
-        self._precisions: np.ndarray | None = None
+        self._whitening: np.ndarray | None = None
         self._log_norms: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -118,7 +118,7 @@ class EMClustering(GeneralizedReduction):
     ) -> None:
         points = np.asarray(payload, dtype=np.float64)
         n, d = points.shape
-        resp, log_evidence = self._responsibilities(points)
+        resp, log_evidence, diff = self._responsibilities(points)
 
         if self._phase == "E":
             contribution = np.zeros(self.k * (d + 1) + 1)
@@ -126,9 +126,9 @@ class EMClustering(GeneralizedReduction):
             contribution[self.k : self.k + self.k * d] = (resp.T @ points).ravel()
             contribution[-1] = float(log_evidence.sum())
         else:
-            assert self.means is not None
-            diff = points[:, None, :] - self.means[None, :, :]  # (n, k, d)
-            scatter = np.einsum("nk,nki,nkj->kij", resp, diff, diff)
+            # (k, d, n) @ (k, n, d): one batched product per component.
+            weighted = diff * resp.T[:, :, None]
+            scatter = np.matmul(weighted.transpose(0, 2, 1), diff)
             contribution = scatter.ravel()
         obj.accumulate(contribution, count=float(n))
 
@@ -199,23 +199,36 @@ class EMClustering(GeneralizedReduction):
     # ------------------------------------------------------------------
 
     def _refresh_precisions(self) -> None:
+        """Factor each covariance once per M update: ``Σ_k = L_k L_kᵀ``.
+
+        Stores the whitening matrices ``W_k = L_k⁻ᵀ`` (so the Mahalanobis
+        form is ``‖(x − μ_k) W_k‖²``) and the Gaussian log normalizers.
+        Cholesky succeeds exactly for positive-definite matrices, so a
+        covariance with any non-positive eigenvalue is rejected here.
+        """
         assert self.covs is not None
         d = self._num_dims if self._num_dims else self.covs.shape[-1]
-        self._precisions = np.linalg.inv(self.covs)
-        sign, logdet = np.linalg.slogdet(self.covs)
-        if np.any(sign <= 0):
-            raise ConfigurationError("covariance matrix lost positive definiteness")
+        try:
+            chol = np.linalg.cholesky(self.covs)
+        except np.linalg.LinAlgError as exc:
+            raise ConfigurationError(
+                "covariance matrix lost positive definiteness"
+            ) from exc
+        self._whitening = np.linalg.inv(chol).transpose(0, 2, 1)
+        logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
         self._log_norms = -0.5 * (d * np.log(2.0 * np.pi) + logdet)
 
     @hot
     def _responsibilities(
         self, points: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior component probabilities and per-point log evidence."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Posterior component probabilities, per-point log evidence, and
+        the ``(k, n, d)`` offsets of the points from each mean."""
         assert self.means is not None and self.weights is not None
-        assert self._precisions is not None and self._log_norms is not None
-        diff = points[:, None, :] - self.means[None, :, :]  # (n, k, d)
-        maha = np.einsum("nki,kij,nkj->nk", diff, self._precisions, diff)
+        assert self._whitening is not None and self._log_norms is not None
+        diff = points[None, :, :] - self.means[:, None, :]  # (k, n, d)
+        whitened = np.matmul(diff, self._whitening)
+        maha = np.einsum("kni,kni->nk", whitened, whitened)
         log_prob = self._log_norms[None, :] - 0.5 * maha
         log_weighted = log_prob + np.log(np.maximum(self.weights, 1.0e-300))
         top = log_weighted.max(axis=1, keepdims=True)
@@ -223,4 +236,4 @@ class EMClustering(GeneralizedReduction):
         norm = shifted.sum(axis=1, keepdims=True)
         resp = shifted / norm
         log_evidence = (top + np.log(norm)).ravel()
-        return resp, log_evidence
+        return resp, log_evidence, diff

@@ -99,10 +99,14 @@ class KMeansClustering(GeneralizedReduction):
         d2 = pairwise_sq_dists(points, self.centers)
         assign = np.argmin(d2, axis=1)
 
-        contribution = np.zeros((self.k, d + 1))
-        np.add.at(contribution[:, :d], assign, points)
-        counts = np.bincount(assign, minlength=self.k).astype(np.float64)
-        contribution[:, d] = counts
+        contribution = np.empty((self.k, d + 1))
+        # One flattened bincount sums each (cluster, dimension) bin in point
+        # order, as np.add.at would, so the sums are bitwise the same.
+        bins = (assign[:, None] * d + np.arange(d)).ravel()
+        contribution[:, :d] = np.bincount(
+            bins, weights=points.ravel(), minlength=self.k * d
+        ).reshape(self.k, d)
+        contribution[:, d] = np.bincount(assign, minlength=self.k)
         obj.accumulate(contribution, count=float(n))
 
         charge_distance_ops(ops, n, self.k, d)
